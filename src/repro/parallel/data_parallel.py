@@ -165,11 +165,18 @@ class DataParallelEngine:
         self.group = CollectiveGroup(
             cluster, {w.rank: w.device for w in self.workers}
         )
+        named = list(self.workers[0].model.named_parameters())
         #: update order: reverse parameter order, approximating gradients
-        #: becoming ready from the output layer backwards (Figure 4)
+        #: becoming ready from the output layer backwards (Figure 4); only
+        #: trainable parameters have gradients to reduce and apply
         self.update_order: list[str] = [
-            name for name, _ in self.workers[0].model.named_parameters()
+            name for name, p in named if p.requires_grad
         ][::-1]
+        #: non-trainable state the forward pass mutates (batch-norm running
+        #: statistics), kept equal across replicas by _broadcast_buffers
+        self.buffer_names: list[str] = [
+            name for name, p in named if not p.requires_grad
+        ]
         self.iteration = 0
         #: fused flat-buffer reduce+update path (bitwise-equal to eager)
         self.fused = bool(fused)
@@ -235,7 +242,7 @@ class DataParallelEngine:
                 if use_fused:
                     # accumulate gradients straight into the flat arena so
                     # the reduce needs no per-parameter gather (covers every
-                    # parameter, so no separate zero_grad pass is needed)
+                    # trainable parameter, so no zero_grad pass is needed)
                     self._seed_grads(w)
                 else:
                     w.model.zero_grad()
@@ -245,6 +252,7 @@ class DataParallelEngine:
                 losses.append(loss_fn(out, y[idx]))
                 w.model.backward(loss_fn.backward())
                 t_compute = max(t_compute, self.compute_time_fn(len(idx)))
+        self._broadcast_buffers(live)
 
         if failure is not None and failure.phase in (
             FailurePhase.FORWARD,
@@ -409,6 +417,23 @@ class DataParallelEngine:
             sim_time=t_compute + t_comm,
         )
 
+    def _broadcast_buffers(self, live: list[DPWorker]) -> None:
+        """Copy non-trainable state from the lowest live rank to the rest.
+
+        Each replica's forward pass updates its batch-norm running
+        statistics from its own shard, so replicas would drift apart; like
+        DDP's ``broadcast_buffers``, the lowest rank's values win.  Done
+        right after the forward/backward phase, so replicas agree even
+        when the iteration then crashes.
+        """
+        if not self.buffer_names or len(live) < 2:
+            return
+        src = dict(live[0].model.named_parameters())
+        for w in live[1:]:
+            params = dict(w.model.named_parameters())
+            for name in self.buffer_names:
+                params[name].data = np.array(src[name].data, copy=True)
+
     def _seed_grads(self, w: DPWorker) -> None:
         """Point ``w``'s gradients at its zeroed flat arena (cached pairs)."""
         arena = w.optimizer.flat_arena(self.update_order)
@@ -417,6 +442,7 @@ class DataParallelEngine:
             views = arena.grads.views()
             w._seed_pairs = (arena, [
                 (p, views[name]) for name, p in w.model.named_parameters()
+                if p.requires_grad
             ])
             cache = w._seed_pairs
         arena.grads.data[:] = 0.0

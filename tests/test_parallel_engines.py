@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import make_dp_engine, make_pp_engine, pipeline_states
-from repro.cluster import Cluster, FailureEvent, FailurePhase
+from repro.api import ClusterSpec, DataSpec, Experiment, ModelSpec, ParallelismSpec
+from repro.cluster import Cluster, FailureEvent, FailurePhase, FailureSchedule
 from repro.data import ClassificationTask
 from repro.errors import ConfigurationError, MachineFailure
 from repro.models import make_mlp
@@ -105,6 +106,57 @@ class TestDataParallelEngine:
                 task=task,
                 placement=[],
             )
+
+
+def wrn_dp_session(fused: bool):
+    """DP-2 wide ResNet: batch-norm running stats are non-trainable."""
+    return Experiment(
+        model=ModelSpec(family="wide_resnet", depth=1, base_channels=4,
+                        image_size=8, seed=3),
+        data=DataSpec(kind="images", batch_size=8, seed=4),
+        cluster=ClusterSpec(num_machines=2, devices_per_machine=1),
+        parallelism=ParallelismSpec(kind="dp", num_workers=2, fused=fused),
+    ).build()
+
+
+class TestDataParallelBatchNorm:
+    """Non-trainable parameters stay out of the reduce and the update."""
+
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_three_iterations_keep_replicas_consistent(self, fused):
+        session = wrn_dp_session(fused)
+        engine = session.engine
+        assert engine.buffer_names
+        assert not set(engine.buffer_names) & set(engine.update_order)
+        init = engine.workers[0].model.state_dict()
+        trace = session.run(3)
+        assert len(trace.losses) == 3
+        assert engine.replicas_consistent()
+        state = engine.workers[0].model.state_dict()
+        for name in engine.buffer_names:
+            assert not np.array_equal(state[name], init[name]), name
+
+    def test_fused_equals_unfused(self):
+        fused, eager = wrn_dp_session(True), wrn_dp_session(False)
+        assert fused.run(3).losses == eager.run(3).losses
+        a = fused.engine.workers[1].full_state()
+        b = eager.engine.workers[1].full_state()
+        assert all(np.array_equal(a[k], b[k]) for k in a)
+
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_mid_update_recovery(self, fused):
+        reference = wrn_dp_session(fused).run(4).losses
+        session = wrn_dp_session(fused)
+        crash = FailureEvent(1, 2, FailurePhase.MID_UPDATE, after_updates=3)
+        trace = session.run(4, failures=FailureSchedule([crash]))
+        (report,) = trace.recoveries
+        assert report.strategy == "replication"
+        assert report.lost_iterations == 0
+        assert session.engine.replicas_consistent()
+        # training-mode batch norm normalizes with batch statistics, so
+        # the losses do not see the running stats; undo is exact only to
+        # rounding
+        assert np.allclose(trace.losses, reference, rtol=1e-9, atol=0.0)
 
 
 class TestPipelineEngine:

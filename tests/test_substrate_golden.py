@@ -15,6 +15,9 @@ Runs (small shapes, as in the e2ebench ``pp_logging`` workload):
   ``FORWARD`` crash of an encoder-block stage and degree-2 parallel
   replay.
 
+BERT and ViT run all three; the wide ResNet (conv + batch norm) runs
+``dp2``.
+
 To re-pin after a deliberate numerics change, run
 ``PYTHONPATH=src python tests/test_substrate_golden.py --write`` and
 record the per-run deltas in CHANGES.md.
@@ -64,10 +67,16 @@ MODELS = {
         DataSpec(kind="images", batch_size=16, seed=14),
         (2, 1, 1, 1),
     ),
+    "wrn": (
+        ModelSpec(family="wide_resnet", depth=1, base_channels=4,
+                  image_size=8, num_classes=4, seed=15),
+        DataSpec(kind="images", batch_size=16, seed=16),
+        None,
+    ),
 }
 
-RUNS = [f"{family}_{run}" for family in MODELS
-        for run in ("dp2", "pp4_1f1b", "pp4_logging")]
+RUNS = [f"{family}_{run}" for family in ("bert", "vit")
+        for run in ("dp2", "pp4_1f1b", "pp4_logging")] + ["wrn_dp2"]
 
 
 def experiment(name: str) -> Experiment:
