@@ -35,10 +35,9 @@ class LayerNorm(Module):
         self.gamma.accumulate_grad((grad_out * x_hat).sum(axis=axes))
         self.beta.accumulate_grad(grad_out.sum(axis=axes))
         g = grad_out * self.gamma.data
-        n = x_hat.shape[-1]
         g_mean = g.mean(axis=-1, keepdims=True)
         gx_mean = (g * x_hat).mean(axis=-1, keepdims=True)
-        return inv_std * (g - g_mean - x_hat * gx_mean) * (n / n)
+        return inv_std * (g - g_mean - x_hat * gx_mean)
 
 
 class BatchNorm2d(Module):
