@@ -59,16 +59,19 @@ class GELU(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
-        inner = _SQRT_2_OVER_PI * (x + 0.044715 * x**3)
+        # cube by multiplying: the power operator calls libm pow (~60x slower)
+        inner = _SQRT_2_OVER_PI * (x + 0.044715 * (x * x * x))
         return 0.5 * x * (1.0 + np.tanh(inner))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        # tanh is recomputed rather than cached: caching it would keep a
+        # second activation-sized array alive per layer until backward
         assert self._x is not None
         x = self._x
-        inner = _SQRT_2_OVER_PI * (x + 0.044715 * x**3)
-        t = np.tanh(inner)
-        d_inner = _SQRT_2_OVER_PI * (1.0 + 3 * 0.044715 * x**2)
-        grad = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * d_inner
+        x2 = x * x
+        t = np.tanh(_SQRT_2_OVER_PI * (x + 0.044715 * (x2 * x)))
+        d_inner = _SQRT_2_OVER_PI * (1.0 + 3 * 0.044715 * x2)
+        grad = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
         return grad_out * grad
 
 

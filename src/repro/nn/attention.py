@@ -54,9 +54,9 @@ class MultiHeadSelfAttention(Module):
         k = self._split(self.k_proj(x))
         v = self._split(self.v_proj(x))
         scale = 1.0 / np.sqrt(self.head_dim)
-        scores = np.einsum("bhtd,bhsd->bhts", q, k, optimize=True) * scale
+        scores = (q @ k.swapaxes(-1, -2)) * scale
         attn = softmax(scores, axis=-1)
-        ctx = np.einsum("bhts,bhsd->bhtd", attn, v, optimize=True)
+        ctx = attn @ v
         self._cache = (q, k, v, attn, scale)
         return self.out_proj(self._merge(ctx))
 
@@ -64,11 +64,11 @@ class MultiHeadSelfAttention(Module):
         assert self._cache is not None
         q, k, v, attn, scale = self._cache
         g_ctx = self._split(self.out_proj.backward(grad_out))
-        g_attn = np.einsum("bhtd,bhsd->bhts", g_ctx, v, optimize=True)
-        g_v = np.einsum("bhts,bhtd->bhsd", attn, g_ctx, optimize=True)
+        g_attn = g_ctx @ v.swapaxes(-1, -2)
+        g_v = attn.swapaxes(-1, -2) @ g_ctx
         g_scores = softmax_backward(attn, g_attn, axis=-1) * scale
-        g_q = np.einsum("bhts,bhsd->bhtd", g_scores, k, optimize=True)
-        g_k = np.einsum("bhts,bhtd->bhsd", g_scores, q, optimize=True)
+        g_q = g_scores @ k
+        g_k = g_scores.swapaxes(-1, -2) @ q
         g_x = self.q_proj.backward(self._merge(g_q))
         g_x = g_x + self.k_proj.backward(self._merge(g_k))
         g_x = g_x + self.v_proj.backward(self._merge(g_v))

@@ -21,10 +21,12 @@ class LayerNorm(Module):
         self._cache: tuple[np.ndarray, np.ndarray] | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        mean = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
+        # one centring pass shared by the variance and x_hat; bitwise
+        # equal to x.var, which centres x again internally
+        xc = x - x.mean(axis=-1, keepdims=True)
+        var = (xc * xc).mean(axis=-1, keepdims=True)
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mean) * inv_std
+        x_hat = xc * inv_std
         self._cache = (x_hat, inv_std)
         return x_hat * self.gamma.data + self.beta.data
 

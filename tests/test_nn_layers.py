@@ -352,3 +352,134 @@ class TestModuleStateDict:
     def test_num_parameters(self):
         layer = Linear(3, 2)
         assert layer.num_parameters() == 3 * 2 + 2
+
+
+# -- textbook references the hot kernels must reproduce (kept only here) ------
+def _strided(shape):
+    """A normal sample of ``shape`` whose memory layout is transposed."""
+    return RNG.normal(size=shape[::-1]).transpose()
+
+
+def assert_matches(got, ref):
+    # rtol 1e-12 elementwise; the atol floor (relative to the tensor's
+    # scale) admits entries that are sums cancelling to ~0
+    np.testing.assert_allclose(
+        got, ref, rtol=1e-12, atol=1e-12 * max(np.abs(ref).max(), 1.0)
+    )
+
+
+def ref_gelu(x):
+    c = np.sqrt(2.0 / np.pi)
+    t = np.tanh(c * (x + 0.044715 * np.power(x, 3)))
+    y = 0.5 * x * (1.0 + t)
+    dy = (0.5 * (1.0 + t)
+          + 0.5 * x * (1.0 - np.power(t, 2)) * c
+          * (1.0 + 3 * 0.044715 * np.power(x, 2)))
+    return y, dy
+
+
+def ref_layernorm(x, gamma, beta, eps, g):
+    """Forward and backward (x, gamma, beta) via ``np.var``."""
+    x_hat = (x - x.mean(-1, keepdims=True)) / np.sqrt(
+        np.var(x, axis=-1, keepdims=True) + eps)
+    n = x.shape[-1]
+    gx = g * gamma
+    dx = (n * gx - gx.sum(-1, keepdims=True)
+          - x_hat * (gx * x_hat).sum(-1, keepdims=True)) / (
+        n * np.sqrt(np.var(x, axis=-1, keepdims=True) + eps))
+    axes = tuple(range(x.ndim - 1))
+    return x_hat * gamma + beta, dx, (g * x_hat).sum(axes), g.sum(axes)
+
+
+def ref_attention(mod, x, g_out):
+    """Forward output and input gradient via the einsum formulas."""
+    h, d = mod.num_heads, mod.head_dim
+
+    def proj(lin, a):
+        return a @ lin.weight.data.T + lin.bias.data
+
+    def split(a):
+        b, t, _ = a.shape
+        return a.reshape(b, t, h, d).transpose(0, 2, 1, 3)
+
+    def merge(a):
+        b, _, t, _ = a.shape
+        return a.transpose(0, 2, 1, 3).reshape(b, t, h * d)
+
+    q, k, v = (split(proj(lin, x))
+               for lin in (mod.q_proj, mod.k_proj, mod.v_proj))
+    s = np.einsum("bhtd,bhsd->bhts", q, k) / np.sqrt(d)
+    e = np.exp(s - s.max(-1, keepdims=True))
+    a = e / e.sum(-1, keepdims=True)
+    out = proj(mod.out_proj, merge(np.einsum("bhts,bhsd->bhtd", a, v)))
+    g_ctx = split(g_out @ mod.out_proj.weight.data)
+    g_a = np.einsum("bhtd,bhsd->bhts", g_ctx, v)
+    g_v = np.einsum("bhts,bhtd->bhsd", a, g_ctx)
+    g_s = a * (g_a - (g_a * a).sum(-1, keepdims=True)) / np.sqrt(d)
+    g_q = np.einsum("bhts,bhsd->bhtd", g_s, k)
+    g_k = np.einsum("bhts,bhtd->bhsd", g_s, q)
+    g_x = sum(merge(g) @ lin.weight.data
+              for g, lin in ((g_q, mod.q_proj), (g_k, mod.k_proj),
+                             (g_v, mod.v_proj)))
+    return out, g_x
+
+
+class TestKernelReferences:
+    """Each hot kernel equals its textbook formula to rounding."""
+
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+    @pytest.mark.parametrize("shape", [(1,), (1, 1, 1), (4, 6), (3, 5, 7)])
+    def test_gelu(self, shape, layout):
+        if layout == "contiguous":
+            x, g = RNG.normal(size=shape) * 3, RNG.normal(size=shape)
+        else:
+            x, g = _strided(shape) * 3, _strided(shape)
+        layer = GELU()
+        y_ref, dy_ref = ref_gelu(x)
+        assert_matches(layer(x), y_ref)
+        assert_matches(layer.backward(g), g * dy_ref)
+
+    def test_gelu_caches_only_its_input(self):
+        """A cached tanh would hold a second activation-sized array."""
+        layer = GELU()
+        x = RNG.normal(size=(2, 3, 4))
+        layer(x)
+        cached = [v for v in vars(layer).values() if isinstance(v, np.ndarray)]
+        assert len(cached) == 1 and cached[0] is x
+
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 1, 1), (1, 7), (3, 5, 7)])
+    def test_layernorm(self, shape, layout):
+        if layout == "contiguous":
+            x, g = RNG.normal(size=shape) * 4 + 2, RNG.normal(size=shape)
+        else:
+            x, g = _strided(shape) * 4 + 2, _strided(shape)
+        layer = LayerNorm(shape[-1])
+        layer.gamma.data = RNG.normal(size=shape[-1])
+        layer.beta.data = RNG.normal(size=shape[-1])
+        y_ref, dx_ref, dgamma_ref, dbeta_ref = ref_layernorm(
+            x, layer.gamma.data, layer.beta.data, layer.eps, g)
+        assert_matches(layer(x), y_ref)
+        assert_matches(layer.backward(g), dx_ref)
+        assert_matches(layer.gamma.grad, dgamma_ref)
+        assert_matches(layer.beta.grad, dbeta_ref)
+
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+    @pytest.mark.parametrize("batch,seq,dim,heads", [
+        (1, 1, 4, 2),   # batch 1, T=1
+        (2, 5, 3, 3),   # head_dim 1
+        (1, 3, 1, 1),   # dim 1
+        (3, 7, 12, 4),
+    ])
+    def test_attention(self, batch, seq, dim, heads, layout):
+        shape = (batch, seq, dim)
+        if layout == "contiguous":
+            x, g = RNG.normal(size=shape), RNG.normal(size=shape)
+        else:
+            x, g = _strided(shape), _strided(shape)
+        mod = MultiHeadSelfAttention(dim, heads, rng=RngStream(9))
+        for lin in (mod.q_proj, mod.k_proj, mod.v_proj, mod.out_proj):
+            lin.bias.data = RNG.normal(size=dim)
+        out_ref, g_x_ref = ref_attention(mod, x, g)
+        assert_matches(mod(x), out_ref)
+        assert_matches(mod.backward(g), g_x_ref)
