@@ -426,7 +426,7 @@ class DataParallelEngine:
         right after the forward/backward phase, so replicas agree even
         when the iteration then crashes.
         """
-        if not self.buffer_names or len(live) < 2:
+        if not self.buffer_names:
             return
         src = dict(live[0].model.named_parameters())
         for w in live[1:]:
