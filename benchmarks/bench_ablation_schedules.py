@@ -9,14 +9,7 @@ micro-batch state.
 """
 
 from _common import emit, fmt_table
-from repro.parallel import (
-    bubble_ratio,
-    build_program,
-    schedule_1f1b,
-    schedule_gpipe,
-    simulate_program,
-    simulate_schedule,
-)
+from repro.parallel import bubble_ratio, build_program, simulate_program
 
 SHAPES = [(4, 4), (4, 16), (8, 8), (8, 32), (16, 16)]
 
@@ -25,13 +18,11 @@ VIRTUAL = 2
 
 
 def simulate(p: int, m: int):
-    a = simulate_schedule(schedule_1f1b(p, m), [1.0] * p, [2.0] * p)
-    b = simulate_schedule(schedule_gpipe(p, m), [1.0] * p, [2.0] * p)
-    c = simulate_program(
-        build_program("interleaved_1f1b", p, m, VIRTUAL),
-        [1.0] * p, [2.0] * p,
+    return tuple(
+        simulate_program(build_program(name, p, m, v), [1.0] * p, [2.0] * p)
+        for name, v in (("1f1b", 1), ("gpipe", 1),
+                        ("interleaved_1f1b", VIRTUAL))
     )
-    return a, b, c
 
 
 def compute():

@@ -38,13 +38,9 @@ from repro.parallel.programs import (
 from repro.parallel.results import IterationResult
 from repro.parallel.schedules import (
     ScheduleTiming,
-    StageOp,
     bubble_ratio,
     program_op_key,
-    schedule_1f1b,
-    schedule_gpipe,
     simulate_program,
-    simulate_schedule,
 )
 
 __all__ = [
@@ -64,14 +60,10 @@ __all__ = [
     "partition_balanced",
     "partition_by_sizes",
     "stage_boundaries",
-    "schedule_1f1b",
-    "schedule_gpipe",
-    "simulate_schedule",
     "simulate_program",
     "program_op_key",
     "bubble_ratio",
     "ScheduleTiming",
-    "StageOp",
     "INSTRUCTION_OPS",
     "Instruction",
     "ScheduleProgram",

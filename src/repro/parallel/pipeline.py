@@ -2,9 +2,11 @@
 
 Stages are contiguous slices of a Sequential model placed on devices across
 machines; micro-batches flow through point-to-point messages (which is what
-Swift's tensor log taps).  Numerics are exact NumPy; timing comes from the
-static schedule simulator so bubbles, iteration time, and the logging
-budget all fall out of the same model (paper Sections 2.1, 5.1).
+Swift's tensor log taps).  Numerics are exact NumPy; timing comes from
+pricing the schedule program with
+:func:`~repro.parallel.schedules.simulate_program`, so bubbles, iteration
+time, and the logging budget all fall out of the same model (paper
+Sections 2.1, 5.1).
 
 The engine is an *instruction-stream interpreter* (DeepSpeed-style): the
 schedule is not code but data — a per-stage
@@ -62,7 +64,6 @@ from repro.parallel.programs import build_program
 from repro.parallel.results import IterationResult
 from repro.parallel.schedules import (
     ScheduleTiming,
-    StageOp,
     program_op_key,
     simulate_program,
 )
@@ -277,17 +278,6 @@ class PipelineEngine:
         """The verified instruction stream this engine interprets."""
         return self._program
 
-    def per_stage_ops(self) -> list[list[StageOp]]:
-        """Classic compute-op view of the program (back-compat)."""
-        return [
-            [
-                StageOp(i.stage, "F" if i.op == "Forward" else "B",
-                        i.microbatch)
-                for i in self._program.compute_instructions(s)
-            ]
-            for s in range(self.num_stages)
-        ]
-
     def timing(self) -> ScheduleTiming:
         if self._timing_cache is None:
             self._timing_cache = simulate_program(
@@ -303,10 +293,8 @@ class PipelineEngine:
 
         Compute instructions are anchored at their simulated start time;
         a receive/load rides with the compute that consumes it and a send
-        with the compute that produced it, so each classic schedule "op"
-        (recv + compute + send) stays contiguous and the global order is
-        exactly the pre-instruction-stream engine's op order for flat
-        programs.
+        with the compute that produced it, so each compute unit (recv +
+        compute + send) stays contiguous in the global order.
         """
         if self._order_cache is not None:
             return self._order_cache

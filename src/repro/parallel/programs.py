@@ -2,13 +2,13 @@
 
 Built-in generators — ``gpipe``, ``1f1b``, ``interleaved_1f1b`` — emit
 :class:`~repro.parallel.instructions.ScheduleProgram` instruction
-streams.  The first two are *lowered* from the classic per-stage
-compute-op makers in :mod:`repro.parallel.schedules`, which guarantees
-the compute order (and therefore the engine's numerics) is identical to
-the pre-instruction-stream engine.  ``interleaved_1f1b`` implements the
-Megatron-LM interleaved schedule: each physical stage hosts
-``virtual_stages`` model chunks, shrinking the pipeline bubble by the
-same factor at the cost of more p2p traffic.
+streams.  Each generator lists every stage's compute units —
+``(kind, chunk, microbatch)`` in execution order — and one lowering
+step adds the loads, sends, receives and the closing ``OptimizerStep``
+around them.  ``gpipe`` and ``1f1b`` are flat (chunk == stage);
+``interleaved_1f1b`` implements the Megatron-LM interleaved schedule:
+each physical stage hosts ``virtual_stages`` model chunks, shrinking
+the pipeline bubble by the same factor at the cost of more p2p traffic.
 
 Third-party schedules plug in through :func:`register_schedule`; every
 generated program is validated by
@@ -21,11 +21,7 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 from repro.errors import ConfigurationError
-from repro.parallel.instructions import (
-    Instruction,
-    ScheduleProgram,
-)
-from repro.parallel.schedules import StageOp, schedule_1f1b, schedule_gpipe
+from repro.parallel.instructions import Instruction, ScheduleProgram
 
 __all__ = [
     "ScheduleGenerator",
@@ -34,7 +30,6 @@ __all__ = [
     "schedule_names",
     "default_virtual_stages",
     "build_program",
-    "program_from_stage_ops",
     "program_gpipe",
     "program_1f1b",
     "program_interleaved_1f1b",
@@ -146,65 +141,70 @@ def build_program(
     return get_schedule(name)(num_stages, num_microbatches, virtual_stages)
 
 
-def program_from_stage_ops(
+#: one compute unit of a stage: ("F" or "B", chunk, microbatch)
+_Unit = tuple[str, int, int]
+
+
+def _lower(
     name: str,
-    per_stage_ops: Iterable[Iterable[StageOp]],
     num_stages: int,
     num_microbatches: int,
+    num_chunks: int,
+    per_stage_units: Iterable[Iterable[_Unit]],
 ) -> ScheduleProgram:
-    """Lower classic per-stage F/B op lists into an instruction stream.
+    """Lower per-stage compute units into instruction streams.
 
-    Each ``F`` becomes load-or-recv + ``Forward`` + send (unless last
-    stage); each ``B`` becomes recv (unless last stage) + ``Backward`` +
-    send (unless first stage); a single ``OptimizerStep`` closes every
-    stream.  Compute order is preserved exactly, which is what keeps the
-    lowered ``1f1b``/``gpipe`` programs bitwise-faithful to the
-    pre-instruction-stream engine.
+    Each ``F`` becomes load (chunk 0) or recv + ``Forward`` + send
+    (unless last chunk); each ``B`` becomes recv (unless last chunk) +
+    ``Backward`` + send (unless chunk 0); a single ``OptimizerStep``
+    closes every stream.  Compute order is the units' order exactly.
 
-    >>> ops = schedule_gpipe(1, 2)
-    >>> prog = program_from_stage_ops("demo", ops, 1, 2)
+    >>> prog = _lower("demo", 1, 2, 1, [[("F", 0, 0), ("F", 0, 1),
+    ...                                  ("B", 0, 0), ("B", 0, 1)]])
     >>> [i.op for i in prog.streams[0]]
     ['LoadMicroBatch', 'Forward', 'LoadMicroBatch', 'Forward', \
 'Backward', 'Backward', 'OptimizerStep']
     """
-    last = num_stages - 1
+    last = num_chunks - 1
     streams: list[tuple[Instruction, ...]] = []
-    for s, ops in enumerate(per_stage_ops):
+    for s, units in enumerate(per_stage_units):
         instrs: list[Instruction] = []
-        for op in ops:
-            if op.kind == "F":
-                if s == 0:
-                    instrs.append(
-                        Instruction("LoadMicroBatch", s, op.microbatch, s)
-                    )
-                else:
-                    instrs.append(
-                        Instruction("RecvActivation", s, op.microbatch, s)
-                    )
-                instrs.append(Instruction("Forward", s, op.microbatch, s))
-                if s < last:
-                    instrs.append(
-                        Instruction("SendActivation", s, op.microbatch, s)
-                    )
+        for kind, chunk, mb in units:
+            if kind == "F":
+                instrs.append(Instruction(
+                    "LoadMicroBatch" if chunk == 0 else "RecvActivation",
+                    s, mb, chunk))
+                instrs.append(Instruction("Forward", s, mb, chunk))
+                if chunk < last:
+                    instrs.append(Instruction("SendActivation", s, mb, chunk))
             else:
-                if s < last:
-                    instrs.append(
-                        Instruction("RecvGrad", s, op.microbatch, s)
-                    )
-                instrs.append(Instruction("Backward", s, op.microbatch, s))
-                if s > 0:
-                    instrs.append(
-                        Instruction("SendGrad", s, op.microbatch, s)
-                    )
+                if chunk < last:
+                    instrs.append(Instruction("RecvGrad", s, mb, chunk))
+                instrs.append(Instruction("Backward", s, mb, chunk))
+                if chunk > 0:
+                    instrs.append(Instruction("SendGrad", s, mb, chunk))
         instrs.append(Instruction("OptimizerStep", s))
         streams.append(tuple(instrs))
     return ScheduleProgram(
         name=name,
         num_stages=num_stages,
         num_microbatches=num_microbatches,
-        num_chunks=num_stages,
+        num_chunks=num_chunks,
         streams=tuple(streams),
     )
+
+
+def _one_f_one_b(
+    fwd: list[tuple[int, int]], bwd: list[tuple[int, int]], warmup: int
+) -> list[_Unit]:
+    """``warmup`` forwards, then forward/backward pairs, then the
+    remaining backwards; ``fwd``/``bwd`` list (chunk, microbatch) in
+    issue order."""
+    units = [("F", *u) for u in fwd[:warmup]]
+    for f, b in zip(fwd[warmup:], bwd):
+        units += [("F", *f), ("B", *b)]
+    units += [("B", *u) for u in bwd[len(fwd) - warmup:]]
+    return units
 
 
 def _require_flat(name: str, virtual_stages: int) -> None:
@@ -225,16 +225,20 @@ def program_gpipe(
     'Forward'
     """
     _require_flat("gpipe", virtual_stages)
-    ops = schedule_gpipe(num_stages, num_microbatches)
-    return program_from_stage_ops(
-        "gpipe", ops, num_stages, num_microbatches
-    )
+    p, m = num_stages, num_microbatches
+    return _lower("gpipe", p, m, p, [
+        [("F", s, k) for k in range(m)] + [("B", s, k) for k in range(m)]
+        for s in range(p)
+    ])
 
 
 def program_1f1b(
     num_stages: int, num_microbatches: int, virtual_stages: int = 1
 ) -> ScheduleProgram:
     """1F1B: warm-up forwards, then strict one-forward-one-backward.
+
+    Stage ``s`` warms up with ``min(p - s - 1, m)`` forwards, so it
+    holds at most ``p - s`` micro-batches in flight (Section 2.1).
 
     >>> prog = program_1f1b(2, 4)
     >>> [
@@ -244,8 +248,12 @@ def program_1f1b(
     [('F', 0), ('F', 1), ('B', 0), ('F', 2)]
     """
     _require_flat("1f1b", virtual_stages)
-    ops = schedule_1f1b(num_stages, num_microbatches)
-    return program_from_stage_ops("1f1b", ops, num_stages, num_microbatches)
+    p, m = num_stages, num_microbatches
+    units = []
+    for s in range(p):
+        order = [(s, k) for k in range(m)]
+        units.append(_one_f_one_b(order, order, min(p - s - 1, m)))
+    return _lower("1f1b", p, m, p, units)
 
 
 def program_interleaved_1f1b(
@@ -283,58 +291,23 @@ def program_interleaved_1f1b(
             f"interleaved_1f1b needs num_microbatches divisible by "
             f"num_stages (got m={m}, p={p})"
         )
-    num_chunks = p * v
     total = m * v  # compute units of each kind per stage
-    streams: list[tuple[Instruction, ...]] = []
+    units = []
     for s in range(p):
-        def f_unit(i: int) -> tuple[int, int]:
+        # unit i is micro-batch group*p + k%p; forwards run local chunk
+        # k//p, backwards local chunk v-1-k//p
+        fwd, bwd = [], []
+        for i in range(total):
             group, k = divmod(i, p * v)
-            return (s + (k // p) * p, group * p + k % p)
-
-        def b_unit(i: int) -> tuple[int, int]:
-            group, k = divmod(i, p * v)
-            return (s + (v - 1 - k // p) * p, group * p + k % p)
-
+            mb = group * p + k % p
+            fwd.append((s + (k // p) * p, mb))
+            bwd.append((s + (v - 1 - k // p) * p, mb))
         if m == p:
             warmup = total
         else:
             warmup = min(total, (p - s - 1) * 2 + (v - 1) * p)
-        units: list[tuple[str, int, int]] = []
-        for i in range(warmup):
-            units.append(("F",) + f_unit(i))
-        for i in range(total - warmup):
-            units.append(("F",) + f_unit(warmup + i))
-            units.append(("B",) + b_unit(i))
-        for i in range(total - warmup, total):
-            units.append(("B",) + b_unit(i))
-
-        instrs: list[Instruction] = []
-        for kind, chunk, mb in units:
-            if kind == "F":
-                if chunk == 0:
-                    instrs.append(Instruction("LoadMicroBatch", s, mb, chunk))
-                else:
-                    instrs.append(Instruction("RecvActivation", s, mb, chunk))
-                instrs.append(Instruction("Forward", s, mb, chunk))
-                if chunk < num_chunks - 1:
-                    instrs.append(
-                        Instruction("SendActivation", s, mb, chunk)
-                    )
-            else:
-                if chunk < num_chunks - 1:
-                    instrs.append(Instruction("RecvGrad", s, mb, chunk))
-                instrs.append(Instruction("Backward", s, mb, chunk))
-                if chunk > 0:
-                    instrs.append(Instruction("SendGrad", s, mb, chunk))
-        instrs.append(Instruction("OptimizerStep", s))
-        streams.append(tuple(instrs))
-    return ScheduleProgram(
-        name="interleaved_1f1b",
-        num_stages=p,
-        num_microbatches=m,
-        num_chunks=num_chunks,
-        streams=tuple(streams),
-    )
+        units.append(_one_f_one_b(fwd, bwd, warmup))
+    return _lower("interleaved_1f1b", p, m, p * v, units)
 
 
 register_schedule("gpipe", program_gpipe)

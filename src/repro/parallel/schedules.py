@@ -1,39 +1,30 @@
-"""Pipeline schedules: 1F1B and GPipe, with a static timing simulator.
+"""Static pricing of pipeline schedule programs.
 
-The paper adopts the One-Forward-One-Backward (1F1B) schedule (Figure 1a):
-both 1F1B and GPipe have bubble ratio ``(p-1)/(m+p-1)``, but 1F1B holds at
-most ``p - stage`` in-flight micro-batches, so peak memory is lower
-(Section 2.1).  Bubble *time* matters doubly for Swift: it is the window in
-which asynchronous logging hides its PCIe copies (Section 5.1), and its
-absence during replay is why recovery runs faster than the original
-execution (Figure 1b).
+:func:`simulate_program` times every compute instruction of a
+:class:`~repro.parallel.instructions.ScheduleProgram` (the generators
+live in :mod:`repro.parallel.programs`).
+
+The paper adopts the One-Forward-One-Backward (1F1B) schedule (Figure
+1a): both 1F1B and GPipe have bubble ratio ``(p-1)/(m+p-1)``, but 1F1B
+holds at most ``p - stage`` in-flight micro-batches, so peak memory is
+lower (Section 2.1).  Bubble *time* matters doubly for Swift: it is the
+window in which asynchronous logging hides its PCIe copies (Section
+5.1), and its absence during replay is why recovery runs faster than
+the original execution (Figure 1b).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
 __all__ = [
-    "StageOp",
     "bubble_ratio",
-    "schedule_1f1b",
-    "schedule_gpipe",
     "ScheduleTiming",
-    "simulate_schedule",
     "simulate_program",
     "program_op_key",
 ]
-
-
-@dataclass(frozen=True)
-class StageOp:
-    """One unit of pipeline work: a forward or backward of one micro-batch."""
-
-    stage: int
-    kind: str  # "F" or "B"
-    microbatch: int
 
 
 def bubble_ratio(num_stages: int, num_microbatches: int) -> float:
@@ -42,39 +33,6 @@ def bubble_ratio(num_stages: int, num_microbatches: int) -> float:
     if p < 1 or m < 1:
         raise ConfigurationError("need at least one stage and one micro-batch")
     return (p - 1) / (m + p - 1)
-
-
-def schedule_1f1b(num_stages: int, num_microbatches: int) -> list[list[StageOp]]:
-    """Per-stage operation sequences for the 1F1B schedule.
-
-    Stage ``i`` warms up with ``min(p - i - 1, m)`` forwards, then
-    alternates one-forward-one-backward, then drains remaining backwards.
-    """
-    p, m = num_stages, num_microbatches
-    if p < 1 or m < 1:
-        raise ConfigurationError("need at least one stage and one micro-batch")
-    per_stage: list[list[StageOp]] = []
-    for i in range(p):
-        warmup = min(p - i - 1, m)
-        ops: list[StageOp] = [StageOp(i, "F", k) for k in range(warmup)]
-        for k in range(warmup, m):
-            ops.append(StageOp(i, "F", k))
-            ops.append(StageOp(i, "B", k - warmup))
-        for k in range(m - warmup, m):
-            ops.append(StageOp(i, "B", k))
-        per_stage.append(ops)
-    return per_stage
-
-
-def schedule_gpipe(num_stages: int, num_microbatches: int) -> list[list[StageOp]]:
-    """Per-stage sequences for GPipe: all forwards, then all backwards."""
-    p, m = num_stages, num_microbatches
-    if p < 1 or m < 1:
-        raise ConfigurationError("need at least one stage and one micro-batch")
-    return [
-        [StageOp(i, "F", k) for k in range(m)] + [StageOp(i, "B", k) for k in range(m)]
-        for i in range(p)
-    ]
 
 
 @dataclass
@@ -109,73 +67,11 @@ class ScheduleTiming:
         return peaks
 
 
-def simulate_schedule(
-    per_stage_ops: list[list[StageOp]],
-    fwd_time: list[float],
-    bwd_time: list[float],
-    comm_time: float = 0.0,
-) -> ScheduleTiming:
-    """Compute start/end times of every op under dependency constraints.
-
-    Dependencies: F(i, k) needs F(i-1, k) plus transfer; B(i, k) needs
-    B(i+1, k) plus transfer; ops on one stage serialize in schedule order.
-    The solver sweeps until fixpoint (the DAG is acyclic, so each pass
-    resolves at least one op — O(total_ops²) worst case, fine at this
-    scale).
-    """
-    p = len(per_stage_ops)
-    done: dict[tuple[int, str, int], tuple[float, float]] = {}
-    pointer = [0] * p
-    stage_free = [0.0] * p
-
-    def dep_ready(op: StageOp) -> float | None:
-        """End time of the op's cross-stage dependency, or None if unmet."""
-        if op.kind == "F":
-            if op.stage == 0:
-                return 0.0
-            prev = done.get((op.stage - 1, "F", op.microbatch))
-        else:
-            if op.stage == p - 1:
-                prev = done.get((op.stage, "F", op.microbatch))
-                return prev[1] if prev else None
-            prev = done.get((op.stage + 1, "B", op.microbatch))
-        return prev[1] + comm_time if prev else None
-
-    total = sum(len(ops) for ops in per_stage_ops)
-    while len(done) < total:
-        progressed = False
-        for stage in range(p):
-            while pointer[stage] < len(per_stage_ops[stage]):
-                op = per_stage_ops[stage][pointer[stage]]
-                ready = dep_ready(op)
-                if ready is None:
-                    break
-                start = max(stage_free[stage], ready)
-                duration = fwd_time[stage] if op.kind == "F" else bwd_time[stage]
-                end = start + duration
-                done[(op.stage, op.kind, op.microbatch)] = (start, end)
-                stage_free[stage] = end
-                pointer[stage] += 1
-                progressed = True
-        if not progressed:
-            raise ConfigurationError("schedule deadlock: invalid op ordering")
-
-    stage_finish, stage_bubble = [], []
-    for stage in range(p):
-        ops = [done[(o.stage, o.kind, o.microbatch)] for o in per_stage_ops[stage]]
-        busy = sum(end - start for start, end in ops)
-        first = min(start for start, _ in ops)
-        last = max(end for _, end in ops)
-        stage_finish.append(last)
-        stage_bubble.append((last - first) - busy)
-    return ScheduleTiming(done, stage_finish, stage_bubble)
-
-
 def program_op_key(op: str, stage: int, chunk: int, microbatch: int,
                    num_stages: int, virtual_stages: int) -> tuple[int, str, int]:
     """The ``ScheduleTiming.op_times`` key of one compute instruction.
 
-    Flat programs keep the classic ``(stage, "F"/"B", microbatch)`` keys;
+    Flat programs use ``(stage, "F"/"B", microbatch)`` keys;
     interleaved programs qualify the kind with the local chunk index so
     one stage's chunks stay distinguishable: ``(stage, "F0"/"B1"/...,
     microbatch)``.
@@ -199,19 +95,17 @@ def simulate_program(
 ) -> ScheduleTiming:
     """Price an arbitrary :class:`~repro.parallel.instructions.ScheduleProgram`.
 
-    The generalization of :func:`simulate_schedule` to instruction
-    streams: compute instructions serialize per stage in stream order;
+    Compute instructions serialize per stage in stream order;
     a Forward on chunk ``c > 0`` waits for the Forward on chunk ``c-1``
     plus transfer; a Backward on the last chunk waits for its own
     Forward; any other Backward waits for the Backward on chunk ``c+1``
     plus transfer.  With ``virtual_stages > 1`` each chunk costs
     ``1/v`` of the stage's full forward/backward time.
 
-    For flat (``v == 1``) programs lowered from ``schedule_1f1b`` /
-    ``schedule_gpipe`` the result is bitwise-identical to
-    :func:`simulate_schedule` on the classic op lists — same keys, same
-    floats — so plans and goodput estimates are unchanged by the
-    instruction-stream refactor.
+    The solver sweeps the stages until every instruction is placed (the
+    dependency graph is acyclic, so each pass places at least one —
+    O(total_ops²) worst case, fine at this scale); an ordering that
+    can never make progress raises ``ConfigurationError``.
 
     >>> from repro.parallel.programs import build_program
     >>> t = simulate_program(build_program("1f1b", 2, 2), [1.0, 1.0],
